@@ -22,7 +22,7 @@ import (
 
 func main() {
 	var (
-		exps       = flag.String("exp", "all", "comma-separated experiments: table1,space,fig1,fig2,fig6,fig7,fig8,fig9,fig10,batch,kernel,concurrent,ingest,shard,encode,window,all")
+		exps       = flag.String("exp", "all", "comma-separated experiments: table1,space,fig1,fig2,fig6,fig7,fig8,fig9,fig10,batch,kernel,concurrent,ingest,encode,window,all")
 		pgScale    = flag.Int("pg-scale", 2, "TPC-DS scale for serial (PostgreSQL-mode) runs")
 		sparkScale = flag.Int("spark-scale", 4, "TPC-DS scale for parallel (Spark-mode) runs")
 		milanPG    = flag.Int("milan-pg", 4_000_000, "Milan rows for serial runs")
@@ -102,9 +102,6 @@ func main() {
 	}
 	if all || want["ingest"] {
 		r.Ingest()
-	}
-	if all || want["shard"] {
-		r.Shard()
 	}
 	if all || want["encode"] {
 		r.Encode()

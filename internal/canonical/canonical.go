@@ -94,18 +94,34 @@ func (s State) MergeIdentity() float64 {
 }
 
 // Merge combines two partial values of the state (the ⊕ of the canonical
-// form); it is commutative and associative by construction.
+// form); it is commutative and associative by construction. A NaN result
+// is returned as the canonical NaN (see CanonNaN).
 func (s State) Merge(a, b float64) float64 {
+	var r float64
 	switch s.Op {
 	case OpProd:
-		return a * b
+		r = a * b
 	case OpMin:
-		return math.Min(a, b)
+		r = math.Min(a, b)
 	case OpMax:
-		return math.Max(a, b)
+		r = math.Max(a, b)
 	default:
-		return a + b
+		r = a + b
 	}
+	return CanonNaN(r)
+}
+
+// CanonNaN maps every NaN to the one bit pattern of math.NaN() and
+// returns any other value unchanged. Which operand's NaN payload an IEEE
+// operation keeps depends on operand order and on the compiled code (the
+// race detector's instrumentation changes it), so a state value leaving
+// a fold is canonicalized to stay bit-identical across association
+// orders and builds.
+func CanonNaN(v float64) float64 {
+	if v != v {
+		return math.NaN()
+	}
+	return v
 }
 
 // Update folds one translated tuple value into a partial state value.

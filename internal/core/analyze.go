@@ -23,7 +23,7 @@ type scanProvider func(dp *exec.DataPlan, reg *exec.TaskRegistry) (*exec.GroupRe
 
 // planState is the unit the analyzer pipeline operates on: one aggregate
 // query's plan, built up phase by phase (resolve → canonicalize → share
-// → fuse → parallelize → distribute) and then executed by executePlan. Each field
+// → fuse → parallelize) and then executed by executePlan. Each field
 // records which phase owns it; rules only touch their own phase's
 // outputs plus earlier ones.
 type planState struct {
@@ -102,9 +102,6 @@ func (ps *planState) getSlot(st canonical.State, positive bool) *slot {
 //	parallelize  — decide scan elision (full cache hit) or adopt a
 //	               batch-provided fused scan; the morsel scheduler
 //	               parallelizes whatever scan remains
-//	distribute   — on a sharded session (Options.Shards > 1), execute
-//	               the remaining scan scatter-gather over the shard
-//	               workers and ⊕-merge the partials (SUDAF modes only)
 //
 // Rules are mode-gated internally: baseline queries no-op through the
 // share and fuse phases, rewrite queries through the cache lookups.
@@ -132,9 +129,6 @@ var queryPipeline = analyzer.Pipeline[*planState]{
 		{Name: "parallelize", Rules: []analyzer.Rule[*planState]{
 			{Name: "elide-scan", Apply: ruleElideScan},
 			{Name: "fused-scan", Apply: ruleFusedScan},
-		}},
-		{Name: "distribute", Rules: []analyzer.Rule[*planState]{
-			{Name: "scatter-gather", Apply: ruleDistribute},
 		}},
 	},
 }

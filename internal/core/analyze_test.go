@@ -43,7 +43,7 @@ var resolveRules = []string{
 }
 
 func TestPipelinePhaseNames(t *testing.T) {
-	want := "[resolve canonicalize share fuse parallelize distribute]"
+	want := "[resolve canonicalize share fuse parallelize]"
 	if got := fmt.Sprint(queryPipeline.PhaseNames()); got != want {
 		t.Fatalf("phases = %s, want %s", got, want)
 	}

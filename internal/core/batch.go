@@ -363,26 +363,10 @@ func (s *Session) QueryBatch(ctx context.Context, reqs []Request, mode Mode) (re
 	}
 
 	// Run the fused scans: one pass per fingerprint group computes the
-	// group's entire task union. On a sharded session, SUDAF-mode groups
-	// scatter-gather instead — g.compute is index-aligned with the task
-	// registry, so the merged partials slot straight into g.gr.
+	// group's entire task union.
 	for _, g := range plan.groups {
 		if g.reg.Len() == 0 {
 			continue
-		}
-		if mode != ModeBaseline && s.shards != nil && len(g.compute) == g.reg.Len() {
-			states := make([]canonical.State, len(g.compute))
-			for i, cand := range g.compute {
-				states[i] = cand.st
-			}
-			gr, ok, serr := s.scatter(ctx, qc, stmts[g.members[0]], g.dp, states, mode == ModeShare)
-			if serr != nil {
-				return nil, serr
-			}
-			if ok {
-				g.gr = gr
-				continue
-			}
 		}
 		gr, rerr := s.eng.RunSpecs(ctx, g.dp, g.reg)
 		if rerr != nil {

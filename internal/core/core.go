@@ -132,14 +132,6 @@ type Options struct {
 	// MetricsLabel distinguishes this session's series when Metrics is
 	// shared, rendered as an engine="..." label. Empty means no label.
 	MetricsLabel string
-	// Shards > 1 partitions every registered table into that many
-	// contiguous row-range shards and executes SUDAF-mode aggregations
-	// scatter-gather: each shard computes its partial canonical states
-	// (against its own private state cache, so Theorem 4.1 sharing works
-	// per shard), the coordinator ⊕-merges the partials, and the
-	// terminating functions run once over the merged groups. Results are
-	// bit-identical to an unsharded session. 0 or 1 disables sharding.
-	Shards int
 	// DataDir, when non-empty, is the persistence directory: NewSession
 	// restores every table segment file and the state-cache snapshot
 	// found there (see Session.LoadError for restore problems), and
@@ -219,12 +211,6 @@ type Session struct {
 	cache       atomic.Pointer[cache.Cache]
 	cacheBytes  int64
 	cacheShards int
-
-	// shards is the scatter-gather runtime (nil when Options.Shards ≤ 1):
-	// per-table shard sets plus the in-process workers, each with its own
-	// state cache. Shard sets are rebuilt under ingestMu (Register,
-	// Append) and read via an immutable-snapshot pointer by queries.
-	shards *shardRuntime
 
 	// viewRewriting gates Q3→RQ3'-style roll-ups (atomic: toggled by
 	// benchmarks while queries run).
@@ -322,9 +308,6 @@ func NewSession(opts Options) *Session {
 	}
 	s.life.ch = make(chan struct{})
 	s.cache.Store(cache.NewSharded(opts.CacheBytes, opts.CacheShards, space))
-	if opts.Shards > 1 {
-		s.shards = newShardRuntime(s, opts.Shards, opts.CacheBytes, opts.CacheShards)
-	}
 	s.viewRewriting.Store(!opts.DisableViews)
 	if opts.MaxConcurrentQueries > 0 {
 		s.admit = make(chan struct{}, opts.MaxConcurrentQueries)
@@ -447,22 +430,8 @@ func (s *Session) SetQueryTimeout(d time.Duration) {
 	s.queryTimeout = d
 }
 
-// Register adds a table to the catalog. On a sharded session it also
-// (re)builds the table's shard set: contiguous row-range slice versions,
-// one per shard, each sealed and epoch-stamped once so per-shard cache
-// fingerprints stay stable across queries.
-func (s *Session) Register(t *storage.Table) error {
-	if s.shards == nil {
-		return s.cat.Register(t)
-	}
-	s.ingestMu.Lock()
-	defer s.ingestMu.Unlock()
-	if err := s.cat.Register(t); err != nil {
-		return err
-	}
-	s.shards.rebuild(t)
-	return nil
-}
+// Register adds a table to the catalog.
+func (s *Session) Register(t *storage.Table) error { return s.cat.Register(t) }
 
 // DefineUDAF registers a UDAF from its mathematical expression, e.g.
 //

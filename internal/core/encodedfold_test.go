@@ -131,28 +131,34 @@ func TestEncodedFoldsProdEngages(t *testing.T) {
 	}
 }
 
-// TestEncodedFoldsShardedDifferential: sharded sessions slice tables
-// into per-shard views; the views carry the encodings and the fold path
-// must stay bit-identical to the dense path.
-func TestEncodedFoldsShardedDifferential(t *testing.T) {
-	tbl := foldTable(16000)
-	for _, q := range foldQueries {
-		s := NewSession(Options{Workers: 2, Shards: 3})
-		if err := s.Register(tbl); err != nil {
-			t.Fatal(err)
+// TestEncodedFoldsSliceDifferential: a table registered as a sealed
+// row-range view of another (the shape an append delta takes) folds over
+// its own encodings, and the fold path must stay bit-identical to the
+// dense path over it.
+func TestEncodedFoldsSliceDifferential(t *testing.T) {
+	base := foldTable(16000)
+	for _, lohi := range [][2]int{{4000, 16000}, {1000, 15000}} {
+		for _, q := range foldQueries {
+			sl := base.Slice(lohi[0], lohi[1])
+			sl.Seal()
+			s := NewSession(Options{Workers: 2})
+			if err := s.Register(sl); err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("slice [%d,%d) %s", lohi[0], lohi[1], q)
+			s.SetEncodedFolds(true)
+			on, err := s.Query(q, ModeShare)
+			if err != nil {
+				t.Fatalf("%s folds-on: %v", label, err)
+			}
+			s.ClearCache()
+			s.SetEncodedFolds(false)
+			off, err := s.Query(q, ModeShare)
+			if err != nil {
+				t.Fatalf("%s folds-off: %v", label, err)
+			}
+			tablesBitIdentical(t, on.Table, off.Table, label)
 		}
-		s.SetEncodedFolds(true)
-		on, err := s.Query(q, ModeShare)
-		if err != nil {
-			t.Fatalf("sharded folds-on: %v", err)
-		}
-		s.ClearCache()
-		s.SetEncodedFolds(false)
-		off, err := s.Query(q, ModeShare)
-		if err != nil {
-			t.Fatalf("sharded folds-off: %v", err)
-		}
-		tablesBitIdentical(t, on.Table, off.Table, "sharded "+q)
 	}
 }
 

@@ -41,12 +41,6 @@ type Explain struct {
 	// frame shape and the window-qualified fingerprint its per-emission
 	// partials are cached under. Nil for non-windowed queries.
 	Window *ExplainWindow
-	// Shards is the per-shard scatter provenance on a sharded engine
-	// (Options.Shards > 1): one entry per shard worker, with its slice
-	// fingerprint and — in share mode — its private cache's probed
-	// outcome for every state. Empty on unsharded engines and in
-	// baseline mode (which never distributes).
-	Shards []ExplainShard
 }
 
 // ExplainWindow is a windowed statement's frame provenance.
@@ -64,22 +58,6 @@ type ExplainWindow struct {
 	// (data fingerprint + "|W[frame]") the per-emission state vectors
 	// live under in share mode.
 	Fingerprint string
-}
-
-// ExplainShard is one shard worker's scatter provenance.
-type ExplainShard struct {
-	// Index is the shard number; Table the sharded (scatter) table; Rows
-	// the shard's row-range size.
-	Index int
-	Table string
-	Rows  int
-	// Fingerprint keys the worker's private cache: the query's data part
-	// with the sharded table at the shard's own slice version.
-	Fingerprint string
-	// Hits aligns with Explain.States: the worker cache's probed outcome
-	// per state — "exact", "shared", "sign" or "miss" (nil outside share
-	// mode).
-	Hits []string
 }
 
 // ExplainAggregate is one aggregate call's decomposition.
@@ -210,11 +188,8 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		return ex, nil
 	}
 
-	// Canonical decomposition, mirroring runSUDAF's slot dedup. bound
-	// keeps the canonical states index-aligned with ex.States for the
-	// shard probe below.
+	// Canonical decomposition, mirroring runSUDAF's slot dedup.
 	stateIdx := map[string]int{}
-	var bound []canonical.State
 	for _, call := range calls {
 		form, err := s.formFor(call.Name)
 		if err != nil {
@@ -244,7 +219,6 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 					noteProbe(&es, qc.cache.Probe(probeFP, bs, positive))
 				}
 				ex.States = append(ex.States, es)
-				bound = append(bound, bs)
 			}
 			ea.States = append(ea.States, idx)
 		}
@@ -254,9 +228,6 @@ func (s *Session) ExplainQuery(sql string, mode Mode) (*Explain, error) {
 		if rw, err := s.RewriteSQL(sql); err == nil {
 			ex.Rewritten = rw
 		}
-	}
-	if s.shards != nil && len(bound) > 0 {
-		s.explainShards(qc, stmt, dp, ex, bound)
 	}
 	return ex, nil
 }
@@ -346,19 +317,6 @@ func (ex *Explain) String() string {
 		b.WriteString("\nrewritten SQL (RQ):\n")
 		for _, line := range strings.Split(ex.Rewritten, "\n") {
 			b.WriteString("  " + line + "\n")
-		}
-	}
-	if len(ex.Shards) > 0 {
-		b.WriteString("\nshards:\n")
-		for _, sh := range ex.Shards {
-			fmt.Fprintf(&b, "  shard %d: %s rows=%d fingerprint=%s\n", sh.Index, sh.Table, sh.Rows, sh.Fingerprint)
-			if len(sh.Hits) > 0 {
-				var parts []string
-				for j, h := range sh.Hits {
-					parts = append(parts, fmt.Sprintf("%s=%s", canonical.StateVar(j), h))
-				}
-				fmt.Fprintf(&b, "    cache: %s\n", strings.Join(parts, ", "))
-			}
 		}
 	}
 	return b.String()

@@ -247,14 +247,6 @@ func (s *Session) Append(ctx context.Context, table string, delta *storage.Table
 		res.ViewsMaintained++
 	}
 
-	// Route the delta to its owning shard before publishing: contiguous
-	// ranges mean an append extends only the last shard, whose worker
-	// cache is ⊕-maintained in place; the other shards' slices — and
-	// every partial cached under them — stay valid untouched.
-	if s.shards != nil {
-		s.routeAppend(ctx, old, newTbl, deltaCat)
-	}
-
 	// Publish: from here on, new snapshots pin the new version. In-flight
 	// queries keep the old one, and keep hitting its epoch-qualified
 	// cache entries (migration copies, never mutates or removes them);

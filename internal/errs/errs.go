@@ -33,10 +33,4 @@ var (
 	// the session table was full. Overloaded requests were rejected
 	// before execution, so retrying after backoff is always safe.
 	ErrOverloaded = errors.New("server overloaded")
-	// ErrShard marks a scatter-gather failure: a shard worker's scan
-	// failed or panicked, or the coordinator's partial-state merge did.
-	// The query returns this one typed error and no partial results.
-	// Errors wrapping it also wrap the underlying cause (ErrCanceled for
-	// a cancelled shard, faultinject.ErrInjected under chaos, ...).
-	ErrShard = errors.New("shard failure")
 )

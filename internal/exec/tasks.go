@@ -512,9 +512,13 @@ func (t *StateTask) Merge(dst, src Partial, remap []int32) {
 	}
 }
 
+// Finalize copies out the per-group state values with NaN
+// canonicalized (canonical.CanonNaN).
 func (t *StateTask) Finalize(p Partial, ngroups int) []float64 {
 	out := make([]float64, ngroups)
-	copy(out, p.(*floatsPartial).arrs[0][:ngroups])
+	for g, v := range p.(*floatsPartial).arrs[0][:ngroups] {
+		out[g] = canonical.CanonNaN(v)
+	}
 	return out
 }
 

@@ -106,11 +106,11 @@ type Server struct {
 	subscribeReqs   atomic.Int64
 	subscribeEmits  atomic.Int64
 	subscribeActive atomic.Int64
-	shedQueue    atomic.Int64
-	shedSession  atomic.Int64
-	shedDraining atomic.Int64
-	shedConns    atomic.Int64
-	connsOpen    atomic.Int64
+	shedQueue       atomic.Int64
+	shedSession     atomic.Int64
+	shedDraining    atomic.Int64
+	shedConns       atomic.Int64
+	connsOpen       atomic.Int64
 }
 
 // New builds a server over cfg.Session. Call Start to begin serving.

@@ -64,81 +64,7 @@ func TestStatsFullMixedNaN(t *testing.T) {
 	}
 }
 
-// ---- Partition / Slice degenerate cases ----
-
-// checkPartition asserts the Partition contract: ranges in order, each
-// lo <= hi, contiguous, covering [0, NumRows()) exactly.
-func checkPartition(t *testing.T, tbl *Table, n int) [][2]int {
-	t.Helper()
-	parts := tbl.Partition(n)
-	if len(parts) != maxInt(n, 1) {
-		t.Fatalf("Partition(%d) returned %d ranges", n, len(parts))
-	}
-	prev := 0
-	for i, p := range parts {
-		if p[0] != prev {
-			t.Fatalf("range %d starts at %d, want %d (gap/overlap)", i, p[0], prev)
-		}
-		if p[1] < p[0] {
-			t.Fatalf("range %d inverted: %v", i, p)
-		}
-		prev = p[1]
-	}
-	if prev != tbl.NumRows() {
-		t.Fatalf("ranges end at %d, want %d", prev, tbl.NumRows())
-	}
-	return parts
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func TestPartitionMoreShardsThanRows(t *testing.T) {
-	tbl := NewTable("t", NewColumn("x", KindFloat))
-	for i := 0; i < 3; i++ {
-		tbl.Col("x").AppendFloat(float64(i))
-	}
-	tbl.Seal()
-	parts := checkPartition(t, tbl, 8)
-	nonEmpty := 0
-	for _, p := range parts {
-		if p[1] > p[0] {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("no non-empty ranges for a 3-row table")
-	}
-}
-
-func TestPartitionZeroRowTable(t *testing.T) {
-	tbl := NewTable("t", NewColumn("x", KindFloat))
-	tbl.Seal()
-	for _, n := range []int{1, 2, 7} {
-		parts := checkPartition(t, tbl, n)
-		for i, p := range parts {
-			if p[0] != 0 || p[1] != 0 {
-				t.Fatalf("n=%d: range %d = %v, want [0,0]", n, i, p)
-			}
-		}
-	}
-}
-
-func TestPartitionZeroAndNegativeN(t *testing.T) {
-	tbl := NewTable("t", NewColumn("x", KindInt))
-	tbl.Col("x").AppendInt(1)
-	tbl.Seal()
-	for _, n := range []int{0, -3} {
-		parts := tbl.Partition(n)
-		if len(parts) != 1 || parts[0] != [2]int{0, 1} {
-			t.Fatalf("Partition(%d) = %v, want [[0 1]]", n, parts)
-		}
-	}
-}
+// ---- Slice degenerate cases ----
 
 func TestSliceEmptyWindow(t *testing.T) {
 	tbl := NewTable("t",

@@ -464,75 +464,6 @@ func (t *Table) Slice(lo, hi int) *Table {
 	return out
 }
 
-// Partition splits the table's rows into n contiguous [lo, hi) ranges
-// aligned to segment boundaries where possible: segments are assigned
-// greedily in order so each range holds roughly NumRows()/n rows, and a
-// segment larger than the per-range budget is split mid-segment rather
-// than overfilling one range. Ranges cover [0, NumRows()) exactly, in
-// order, and trailing ranges may be empty (lo == hi) when the table has
-// fewer rows than n. n must be >= 1.
-func (t *Table) Partition(n int) [][2]int {
-	if n < 1 {
-		n = 1
-	}
-	total := t.NumRows()
-	// Cut points between segments (plus 0 and total) are the preferred
-	// range boundaries: an append extends only the final segment, so
-	// segment-aligned ranges keep earlier shards' row ranges stable.
-	cuts := []int{0}
-	for _, end := range t.Segments {
-		if end > 0 && end <= total && end > cuts[len(cuts)-1] {
-			cuts = append(cuts, end)
-		}
-	}
-	if cuts[len(cuts)-1] != total {
-		cuts = append(cuts, total)
-	}
-	out := make([][2]int, 0, n)
-	lo := 0
-	for i := 0; i < n; i++ {
-		if i == n-1 {
-			out = append(out, [2]int{lo, total})
-			break
-		}
-		// Ideal end of this range if the remaining rows were split evenly
-		// across the remaining ranges.
-		ideal := lo + (total-lo)/(n-i)
-		hi := ideal
-		// Snap to the nearest segment cut if one is close enough that no
-		// range ends up more than ~2x its even share.
-		best, bestDist := -1, total+1
-		for _, c := range cuts {
-			if c < lo || c > total {
-				continue
-			}
-			if d := abs(c - ideal); d < bestDist {
-				best, bestDist = c, d
-			}
-		}
-		share := (total - lo) / (n - i)
-		if best >= lo && bestDist <= share/2 {
-			hi = best
-		}
-		if hi < lo {
-			hi = lo
-		}
-		if hi > total {
-			hi = total
-		}
-		out = append(out, [2]int{lo, hi})
-		lo = hi
-	}
-	return out
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // epochCounter hands out globally unique table-version numbers.
 var epochCounter atomic.Int64
 

@@ -167,7 +167,8 @@ func (f *Fold) Len() int { return len(f.frontVals) + len(f.backVals) }
 // engine's cold chunked fold over the same rows: the O(1) two-stacks
 // combination when every window value is association-free, a chunked
 // in-order refold otherwise. An empty window yields the merge identity
-// (matching a cold aggregate over zero rows).
+// (matching a cold aggregate over zero rows). Every other value is the
+// result of a State.Merge, so a NaN is always the canonical NaN.
 func (f *Fold) Value() float64 {
 	if f.violations == 0 {
 		f.fastValues++

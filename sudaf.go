@@ -124,13 +124,6 @@ type EngineStats = core.EngineStats
 // materialized views delta-folded vs dropped.
 type IngestStats = core.IngestStats
 
-// ShardStats are engine-lifetime scatter-gather counters on a sharded
-// engine (Options.Shards > 1): distributed queries vs single-engine
-// fallbacks, per-shard worker scans and cache hits, rows rescanned by
-// partial recomputations, and appends routed to their owning shard.
-// All zero on an unsharded engine.
-type ShardStats = core.ShardStats
-
 // Explain is the structured result of Engine.Explain: the canonical
 // decomposition of a query's aggregates and, in Share mode, the sharing
 // provenance of every aggregation state.
@@ -145,11 +138,6 @@ type ExplainAggregate = core.ExplainAggregate
 // its cache provenance in Share mode (hit kind, matched state, scalar
 // rewriting, conditions, or miss reason).
 type ExplainState = core.ExplainState
-
-// ExplainShard is one shard worker's scatter provenance in an Explain on
-// a sharded engine: the shard's slice fingerprint, row range size, and —
-// in Share mode — its private cache's probed outcome for every state.
-type ExplainShard = core.ExplainShard
 
 // BatchExplain is the structured result of Engine.BatchExplain: the
 // batch sharing plan — fingerprint groups, fused-scan task unions, and
@@ -508,25 +496,6 @@ func (e *Engine) Stats() EngineStats { return e.s.Stats() }
 
 // IngestStats returns engine-lifetime ingestion counters.
 func (e *Engine) IngestStats() IngestStats { return e.s.IngestStats() }
-
-// ShardStats returns engine-lifetime scatter-gather counters (all zero
-// on an unsharded engine).
-func (e *Engine) ShardStats() ShardStats { return e.s.ShardStats() }
-
-// ShardCount returns the configured shard count (0 when sharding is
-// off).
-func (e *Engine) ShardCount() int { return e.s.ShardCount() }
-
-// ClearShardCaches drops every shard worker's cached partials — the
-// per-shard analogue of ClearCache, which only clears the engine-level
-// state cache. No-op on an unsharded engine.
-func (e *Engine) ClearShardCaches() { e.s.ClearShardCaches() }
-
-// ClearShardWorker drops a single shard worker's cached partials,
-// simulating one shard rebooting while its peers stay warm: the next
-// scatter rescans only that worker's row range. No-op on an unsharded
-// engine or out-of-range index.
-func (e *Engine) ClearShardWorker(i int) { e.s.ClearShardWorker(i) }
 
 // Metrics returns the engine's metrics registry: the one passed in
 // Options.Metrics, or the private registry created when none was.
